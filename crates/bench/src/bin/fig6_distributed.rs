@@ -2,7 +2,8 @@
 //!
 //! Where `fig6` projects ARCHER2-scale rates through the communication
 //! model, this harness runs the distributed target for real: every rank is
-//! a thread on the resilient MPI micro-sim, halos move as face messages,
+//! a task on the cooperative scheduler over the resilient MPI micro-sim,
+//! halos move as face messages,
 //! and the reported time is the measured makespan attested in
 //! [`RunReport::distributed`]. Three series per point:
 //!
@@ -25,7 +26,6 @@ fn run_serial(n: usize, iters: usize) -> Execution {
         &source,
         &CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -47,7 +47,6 @@ fn run_distributed(
         target: Target::StencilDistributed {
             grid: grid.to_vec(),
         },
-        verify_each_pass: false,
         overlap_halos: overlap,
         ..Default::default()
     };
@@ -68,7 +67,7 @@ fn run_distributed(
             .expect("distributed attestation");
         assert!(
             d.dispatches > 0,
-            "grid {grid:?}: rank bodies did not run (modeled fallback)"
+            "grid {grid:?}: rank bodies did not run (local fallback)"
         );
         if best
             .as_ref()
@@ -96,11 +95,10 @@ fn series(n: usize, iters: usize, grids: &[&[i64]], reps: usize, rows: &mut Vec<
             ));
             if overlap {
                 println!(
-                    "  n={n} grid={grid:?}: overlap fraction {:.3}, {} msgs, {} B, model/measured {:.3}",
+                    "  n={n} grid={grid:?}: overlap fraction {:.3}, {} msgs, {} B",
                     d.overlap_fraction(),
                     d.messages,
-                    d.bytes_exchanged,
-                    d.model_ratio()
+                    d.bytes_exchanged
                 );
             }
         }

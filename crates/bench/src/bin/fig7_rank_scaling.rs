@@ -2,7 +2,7 @@
 //! ranks on the work-stealing cooperative scheduler.
 //!
 //! Four experiments, every point verified bit-identical to single-rank
-//! serial and attested `measured` (never the analytic model):
+//! serial and attested `measured` (never a local fallback):
 //!
 //! * **strong scaling** — fixed 32³ Gauss–Seidel domain, process grids
 //!   from 512 to 4096 ranks;
@@ -35,7 +35,6 @@ fn run_serial(n: usize, iters: usize) -> Execution {
         &source,
         &CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -56,7 +55,6 @@ fn run_ranks(
         target: Target::StencilDistributed {
             grid: grid.to_vec(),
         },
-        verify_each_pass: false,
         ..Default::default()
     };
     tweak(&mut opts);
@@ -76,9 +74,9 @@ fn run_ranks(
     assert_eq!(
         d.provenance,
         Some(DistProvenance::Measured),
-        "grid {grid:?}: rank bodies fell back to the cost model"
+        "grid {grid:?}: rank bodies fell back to a local run"
     );
-    assert_eq!(d.modeled_dispatches, 0, "grid {grid:?}: modeled dispatches");
+    assert_eq!(d.modeled_dispatches, 0, "grid {grid:?}: local dispatches");
     d
 }
 
@@ -301,5 +299,5 @@ fn main() {
     aggregation_ablation();
     deep_halo_ablation();
     println!("\nevery point verified bit-identical to the single-rank serial result");
-    println!("provenance attested `measured` at every rank count (no model fallback)");
+    println!("provenance attested `measured` at every rank count (no local fallback)");
 }

@@ -27,8 +27,8 @@ use std::time::{Duration, Instant};
 
 use fsc_exec::autotune::{self, TuneConfig, TuningReport};
 use fsc_exec::budget::{MemoryBudget, MemoryEstimate};
+pub use fsc_exec::distexec::DistOptions;
 use fsc_exec::distexec::{self, DeepHaloSession, DistOutcome};
-pub use fsc_exec::distexec::{DistMode, DistOptions};
 use fsc_exec::interp::{Interpreter, RegionDispatcher, RunStats};
 use fsc_exec::kernel::{
     self, CompiledKernel, GpuStrategy, HaloSchedule, KernelArg, PlanKind, ViewSource,
@@ -41,7 +41,6 @@ use fsc_gpusim::{BufferUse, GpuCounters, GpuSession, KernelLoad, V100Model};
 use fsc_ir::diag::{codes, Diagnostic};
 use fsc_ir::{Attribute, IrError, Module, Result, Type};
 use fsc_mpisim::fault::{CrashSpec, FaultPlan, FaultStats};
-use fsc_mpisim::resilient::{run_resilient, ResilientConfig};
 use fsc_mpisim::{CostModel, ProcessGrid};
 use fsc_passes::pipeline::{payload_message, HardenedPipeline};
 use fsc_passes::pipelines;
@@ -94,15 +93,12 @@ pub enum Target {
 pub struct CompileOptions {
     /// Execution target.
     pub target: Target,
-    /// In the non-hardened (strict) flow: run the structural + dialect
-    /// verifier after every pass. The hardened flow always verifies after
-    /// every pass, so this flag only matters when `harden` is off.
-    pub verify_each_pass: bool,
-    /// Drive the pass pipelines under the hardened snapshot / panic-catch /
-    /// verify / rollback driver, degrading down the fallback ladder
-    /// (stencil → sequential scf → direct FIR interpretation) instead of
-    /// failing the compile. On by default; turn off to get the strict
-    /// fail-fast behaviour.
+    /// Degrade down the fallback ladder (stencil → sequential scf → direct
+    /// FIR interpretation) when a rung fails, instead of failing the
+    /// compile. On by default; turn off for the strict fail-fast flow,
+    /// which tries only the starting rung and returns its failure as the
+    /// error. Either way every pass runs under the snapshot / panic-catch /
+    /// verify / rollback driver.
     pub harden: bool,
     /// Fault-injection hook: deliberately corrupt the module right after
     /// the named pass runs, forcing its post-pass verification to fail.
@@ -152,7 +148,6 @@ impl Default for CompileOptions {
     fn default() -> Self {
         Self {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             harden: true,
             sabotage_pass: None,
             force_rung: None,
@@ -175,11 +170,9 @@ impl CompileOptions {
         }
     }
 
-    /// The distributed execution knobs these options select (cooperative
-    /// scheduler; [`Compiled::dist_options`] can override the mode).
+    /// The distributed execution knobs these options select.
     pub fn dist_options(&self) -> DistOptions {
         DistOptions {
-            mode: fsc_exec::DistMode::Coop,
             workers: self.dist_workers,
             node_size: self.dist_node_size,
         }
@@ -225,6 +218,19 @@ pub struct RungAttempt {
     pub failed_pass: Option<String>,
     /// Coded diagnostics describing the failure.
     pub diagnostics: Vec<Diagnostic>,
+}
+
+impl RungAttempt {
+    /// This rejected rung as a strict-flow compile error. A plain failure
+    /// (`E0501`: a pass or stage returned an uncoded error) stays the plain
+    /// error it was — `pass '<name>' failed: <cause>` for a pass — while
+    /// panics, broken IR and coded stage errors keep their diagnostics.
+    fn into_error(self) -> IrError {
+        match self.diagnostics.as_slice() {
+            [d] if d.code == codes::PASS_FAILED => IrError::new(d.message.clone()),
+            _ => IrError::from_diagnostics(self.diagnostics),
+        }
+    }
 }
 
 /// Attestation of the degradation ladder: which rungs were rejected (and
@@ -284,26 +290,23 @@ pub struct Compiled {
     /// came from calibration or the persistent cache, and what tuning
     /// cost. `None` when autotuning was not requested.
     pub tuning: Option<TuningReport>,
-    /// Distributed execution knobs (substrate, workers, aggregation) every
-    /// run of this artifact uses; seeded from
+    /// Distributed execution knobs (scheduler workers, node aggregation)
+    /// every run of this artifact uses; seeded from
     /// [`CompileOptions::dist_options`] and overridable before `run`
-    /// (e.g. forcing [`fsc_exec::DistMode::Threads`] for differential
-    /// tests).
+    /// (e.g. pinning the worker count in tests).
     pub dist_options: DistOptions,
 }
 
 /// Attestation of real distributed execution: every dispatch that ran as
 /// genuine rank bodies over the simulated MPI substrate contributes its
-/// measured per-rank wall time, halo traffic, and schedule breakdown. The
-/// legacy cost model stays as a cross-check (`modeled_seconds`), so a run
-/// attests both what was measured and what the model would have charged.
+/// measured per-rank wall time, halo traffic, and schedule breakdown.
+/// Dispatches outside the supported shape run locally and only count in
+/// `modeled_dispatches`.
 #[derive(Debug, Clone, Default)]
 pub struct DistributedReport {
     /// Ranks in the process grid.
     pub ranks: i64,
-    /// Kernel dispatches that executed on real rank bodies (dispatches
-    /// outside the supported shape fall back to the modeled path and are
-    /// not counted here).
+    /// Kernel dispatches that executed on real rank bodies.
     pub dispatches: u64,
     /// The halo schedule the exchanging nests ran under (`None` until a
     /// real dispatch happens).
@@ -325,25 +328,18 @@ pub struct DistributedReport {
     /// Measured distributed seconds: the sum of per-dispatch makespans
     /// (slowest rank each time).
     pub measured_seconds: f64,
-    /// What the analytic cost model charges for the same dispatches
-    /// (mean per-rank compute + modeled halo communication) — kept as a
-    /// cross-check against the measurement.
-    pub modeled_seconds: f64,
     /// Where the distributed numbers come from: every dispatch measured on
-    /// real rank bodies, every dispatch charged to the analytic model
-    /// (unsupported shapes), or a mix. `None` until the first distributed
-    /// dispatch.
+    /// real rank bodies, every dispatch run locally (unsupported shapes),
+    /// or a mix. `None` until the first distributed dispatch.
     pub provenance: Option<DistProvenance>,
-    /// Kernel dispatches that fell back to the modeled path.
+    /// Dispatches that ran locally because the shape is unsupported (the
+    /// name predates the local path; these add no seconds and no traffic).
     pub modeled_dispatches: u64,
-    /// Substrate the measured dispatches ran on (`None` until one runs).
-    pub scheduler: Option<DistMode>,
     /// Worker threads hosting the rank tasks (largest observed).
     pub workers: usize,
-    /// Rank tasks stolen from another worker's deque, across dispatches
-    /// (cooperative scheduler only).
+    /// Rank tasks stolen from another worker's deque, across dispatches.
     pub steals: u64,
-    /// Times a rank task parked on a blocking operation (coop only).
+    /// Times a rank task parked on a blocking operation.
     pub parks: u64,
     /// User-level halo messages the transport carried.
     pub logical_messages: u64,
@@ -368,10 +364,10 @@ pub struct DistributedReport {
 pub enum DistProvenance {
     /// Every dispatch executed as real rank bodies and was measured.
     Measured,
-    /// Every dispatch was outside the executor's supported shape and was
-    /// charged to the analytic communication model.
-    Modeled,
-    /// Some dispatches measured, some modeled.
+    /// Every dispatch was outside the executor's supported shape and ran
+    /// locally on one core.
+    Local,
+    /// Some dispatches measured, some local.
     Mixed,
 }
 
@@ -380,7 +376,7 @@ impl DistProvenance {
     pub fn as_str(self) -> &'static str {
         match self {
             DistProvenance::Measured => "measured",
-            DistProvenance::Modeled => "modeled",
+            DistProvenance::Local => "local",
             DistProvenance::Mixed => "mixed",
         }
     }
@@ -402,16 +398,6 @@ impl DistributedReport {
         let denom = self.interior_seconds + self.wait_seconds;
         if denom > 0.0 {
             self.interior_seconds / denom
-        } else {
-            0.0
-        }
-    }
-
-    /// Modeled-over-measured ratio (zero when nothing was measured):
-    /// how far the analytic model sits from the real execution.
-    pub fn model_ratio(&self) -> f64 {
-        if self.measured_seconds > 0.0 {
-            self.modeled_seconds / self.measured_seconds
         } else {
             0.0
         }
@@ -443,9 +429,9 @@ pub struct RunReport {
     pub gpu_seconds: Option<f64>,
     /// GPU transfer/launch counters (GPU targets).
     pub gpu: Option<GpuCounters>,
-    /// Distributed seconds (distributed targets): measured makespans for
-    /// dispatches that ran on real rank bodies, plus modeled time for any
-    /// dispatch that fell back to the cost model.
+    /// Distributed seconds: on `StencilDistributed`, the measured makespans
+    /// of the dispatches that ran on real rank bodies (local dispatches add
+    /// nothing); on `StencilMultiGpu`, the modeled inter-GPU halo time.
     pub distributed_seconds: Option<f64>,
     /// Ranks used by the distributed target.
     pub ranks: Option<i64>,
@@ -463,8 +449,8 @@ pub struct RunReport {
     /// `E0705` stitching skips) — degradations, never failures.
     pub jit_warnings: Vec<Diagnostic>,
     /// Fault-injection / recovery attestation of the resilient halo
-    /// transport (distributed targets only; zero counters for a
-    /// fault-free plan).
+    /// transport across the measured dispatches (distributed targets only;
+    /// zero counters for a fault-free plan or when nothing ran on ranks).
     pub resilience: Option<FaultStats>,
     /// Which degradation-ladder rung produced this run, and which rungs
     /// were rejected on the way down (empty attempts + `Stencil` = the
@@ -540,7 +526,8 @@ impl Compiler {
     /// parse, sema, lowering) are always fatal — there is nothing to run.
     /// With `options.harden` (the default), pass-pipeline failures are not:
     /// the compile degrades down the fallback ladder and the outcome is
-    /// attested in [`Compiled::degradation`].
+    /// attested in [`Compiled::degradation`]. Without it, the first failing
+    /// rung fails the compile.
     pub fn compile(source: &str, options: &CompileOptions) -> Result<Compiled> {
         let fir = fsc_fortran::compile_to_fir(source)?;
         let entry = find_program(&fir)?;
@@ -556,11 +543,7 @@ impl Compiler {
                 dist_options: options.dist_options(),
             });
         }
-        let mut compiled = if options.harden {
-            Self::compile_ladder(fir, entry, options)?
-        } else {
-            Self::compile_strict(fir, entry, options)?
-        };
+        let mut compiled = Self::compile_ladder(fir, entry, options)?;
         if let Some(cfg) = &options.autotune {
             if !compiled.kernels.is_empty() {
                 autotune_compiled(&mut compiled, cfg);
@@ -576,54 +559,11 @@ impl Compiler {
         Ok(compiled)
     }
 
-    /// The strict fail-fast flow: any pass error aborts the compile.
-    fn compile_strict(
-        mut fir: Module,
-        entry: String,
-        options: &CompileOptions,
-    ) -> Result<Compiled> {
-        // Figure 1: discovery (+fusion) on FIR, then extraction. The
-        // unoptimised tier models Flang's own codegen, which neither fuses
-        // nor CSEs across statements.
-        let mut discovery = if options.target == Target::UnoptimizedCpu {
-            pipelines::discovery_pipeline_unfused()
-        } else {
-            pipelines::discovery_pipeline()
-        };
-        if options.verify_each_pass {
-            discovery.enable_verifier();
-        }
-        discovery.run(&mut fir)?;
-        if options.verify_each_pass {
-            fsc_dialects::verify::verify(&fir)?;
-        }
-        let mut stencil = fsc_passes::extract::extract_stencils(&mut fir)?;
-        // Target-specific lowering of the stencil module.
-        let mut pm = target_pipeline(options)?;
-        if options.verify_each_pass {
-            pm.enable_verifier();
-        }
-        pm.run(&mut stencil)?;
-        if options.verify_each_pass {
-            fsc_dialects::verify::verify(&stencil)?;
-        }
-        let kernels = compile_regions(&stencil)?;
-        Ok(Compiled {
-            fir_module: fir,
-            stencil_module: Some(stencil),
-            kernels,
-            target: options.target.clone(),
-            entry,
-            degradation: DegradationReport::default(),
-            tuning: None,
-            dist_options: options.dist_options(),
-        })
-    }
-
-    /// The hardened flow: walk the degradation ladder from the requested
-    /// configuration down, re-compiling each rung from the pristine FIR.
-    /// The bottom rung (direct FIR interpretation) cannot fail, so this
-    /// only errors when a rung below the start was forced away.
+    /// Walk the degradation ladder from the requested configuration down,
+    /// re-compiling each rung from the pristine FIR. The bottom rung
+    /// (direct FIR interpretation) cannot fail. Without `options.harden`
+    /// the ladder is one rung long and fails fast: the starting rung's
+    /// failure is the compile error.
     fn compile_ladder(fir: Module, entry: String, options: &CompileOptions) -> Result<Compiled> {
         let start = options.force_rung.unwrap_or(DegradationRung::Stencil);
         let mut attempts = Vec::new();
@@ -647,6 +587,7 @@ impl Compiler {
                         dist_options: options.dist_options(),
                     });
                 }
+                Err(attempt) if !options.harden => return Err(attempt.into_error()),
                 Err(attempt) => attempts.push(*attempt),
             }
         }
@@ -824,8 +765,9 @@ fn find_program(m: &Module) -> Result<String> {
 
 impl Compiled {
     /// Execute the program, returning memory and accounting. Distributed
-    /// targets run their halo exchanges on the resilient transport with a
-    /// fault-free plan (the protocol overhead is charged and attested).
+    /// targets run their rank bodies' halo exchanges on the resilient
+    /// transport with a fault-free plan (the protocol counters are
+    /// attested).
     pub fn run(&self) -> Result<Execution> {
         self.run_inner(None, None)
     }
@@ -961,11 +903,12 @@ impl Compiled {
             .saturating_add(1024)
     }
 
-    /// Execute under a fault-injection plan: every distributed kernel
-    /// dispatch drives a real resilient halo-exchange round through the
-    /// simulated MPI substrate with `plan`'s faults injected; recovery
-    /// traffic is charged to the distributed cost and attested in
-    /// [`RunReport::resilience`]. Non-distributed targets ignore the plan.
+    /// Execute under a fault-injection plan: every measured distributed
+    /// dispatch runs its rank bodies' halo exchanges through the resilient
+    /// transport with `plan`'s faults injected. Recovery shows up in the
+    /// measured makespan and in [`RunReport::resilience`]. Local dispatches
+    /// (unsupported shapes) and non-distributed targets exchange nothing,
+    /// so the plan has nothing to act on there.
     pub fn run_with_faults(&self, plan: FaultPlan) -> Result<Execution> {
         plan.validate()
             .map_err(|e| IrError::new(format!("invalid fault plan: {e}")))?;
@@ -1072,8 +1015,8 @@ pub struct KernelDispatcher<'k> {
     pub kernel_wall: Duration,
     /// Total cells processed.
     pub cells: u64,
-    /// Distributed seconds: measured makespans (real dispatches) plus
-    /// modeled time (fallback dispatches).
+    /// Distributed seconds: measured makespans (`StencilDistributed`) or
+    /// modeled inter-GPU halo time (`StencilMultiGpu`).
     pub distributed_seconds: f64,
     /// Accumulated real-execution attestation (distributed targets).
     pub dist: DistributedReport,
@@ -1085,15 +1028,15 @@ pub struct KernelDispatcher<'k> {
     pub plans: std::collections::BTreeSet<ExecPlan>,
     /// Distinct jit artifact sources observed across dispatched nests.
     pub jit_artifacts: std::collections::BTreeSet<JitArtifact>,
-    /// Fault plan injected into the resilient halo transport (distributed
-    /// targets; defaults to a fault-free plan).
+    /// Fault plan injected into the resilient halo transport of measured
+    /// dispatches (defaults to a fault-free plan).
     pub fault_plan: FaultPlan,
     /// Accumulated fault/recovery counters from the resilient transport.
     pub resilience: FaultStats,
     /// Distributed kernel dispatches seen so far — the "iteration" index a
     /// planned rank crash is matched against.
     dispatch_index: usize,
-    /// Substrate/worker/aggregation knobs for distributed dispatches.
+    /// Worker/aggregation knobs for distributed dispatches.
     pub dist_options: DistOptions,
     /// Open deep-halo amortisation windows, keyed by kernel name: a kernel
     /// compiled with `halo_depth = k` exchanges on one dispatch and runs
@@ -1115,15 +1058,6 @@ impl<'k> KernelDispatcher<'k> {
                 let pool = b.build().expect("thread pool");
                 let t = pool.current_num_threads();
                 (Some(pool), t)
-            }
-            Target::StencilDistributed { grid } => {
-                let ranks: i64 = grid.iter().product();
-                let workers = (ranks as usize).min(num_cpus_max());
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(workers.max(1))
-                    .build()
-                    .expect("thread pool");
-                (Some(pool), workers.max(1))
             }
             _ => (None, 1),
         };
@@ -1177,108 +1111,9 @@ impl<'k> KernelDispatcher<'k> {
         }
     }
 
-    /// Drive one real resilient halo-exchange round through the simulated
-    /// MPI substrate for a distributed kernel dispatch: a capped-size rank
-    /// group exchanges face-sized payloads under `fault_plan` (sequence
-    /// numbers, acks, retransmits, checkpoints, crash/restore), the
-    /// fault/recovery counters are merged into `self.resilience`, and the
-    /// per-rank recovery traffic is charged via the cost model. Returns the
-    /// modeled resilience seconds added to the distributed time. `dispatch`
-    /// is the dispatch index a planned crash is matched against.
-    fn charge_resilient_exchange(
-        &mut self,
-        kernel: &CompiledKernel,
-        dispatch: usize,
-    ) -> Result<f64> {
-        let grid = self.grid.as_ref().expect("distributed target has a grid");
-        let gsize = grid.size() as usize;
-        let face = kernel
-            .nests
-            .iter()
-            .filter(|n| !n.exchanges.is_empty())
-            .map(|n| face_bytes(n, grid))
-            .max()
-            .unwrap_or(0);
-        if face == 0 {
-            return Ok(0.0);
-        }
-        // The micro-sim group is capped: the protocol behaviour (per-link
-        // seq/ack/retry, neighbour checkpointing) is rank-count independent,
-        // so a small group attests it faithfully without spawning hundreds
-        // of threads per dispatch.
-        let sim_ranks = gsize.clamp(2, 8);
-        let elems = ((face / 8).max(1) as usize).min(4096);
-        // A planned crash fires on the dispatch whose index matches
-        // `at_iteration`; inside the micro-sim it hits iteration 1 so a
-        // checkpoint (taken at 0) exists to restore from.
-        let mut plan = self.fault_plan.clone();
-        plan.crash = match plan.crash {
-            Some(c) if c.at_iteration == dispatch => Some(CrashSpec {
-                rank: c.rank.min(sim_ranks - 1),
-                at_iteration: 1,
-            }),
-            _ => None,
-        };
-        let cfg = ResilientConfig {
-            checkpoint_interval: 1,
-            ..ResilientConfig::default()
-        };
-        const SIM_ITERS: usize = 2;
-        let results = run_resilient(sim_ranks, plan, cfg, move |ctx| {
-            let (rank, size) = (ctx.rank(), ctx.size());
-            let mut field = vec![rank as f64 + 1.0; elems];
-            let mut it = 0usize;
-            while it < SIM_ITERS {
-                ctx.save_checkpoint(it, std::slice::from_ref(&field));
-                if ctx.crash_pending(it) {
-                    let (restored, state) = ctx.crash_and_restore(it)?;
-                    it = restored;
-                    field = state.into_iter().next().expect("checkpointed field");
-                    continue;
-                }
-                if rank > 0 {
-                    ctx.send(rank - 1, 0, field.clone());
-                }
-                if rank + 1 < size {
-                    ctx.send(rank + 1, 1, field.clone());
-                }
-                if rank > 0 {
-                    let left = ctx.recv(rank - 1, 1)?;
-                    for (a, b) in field.iter_mut().zip(&left) {
-                        *a = 0.5 * (*a + *b);
-                    }
-                }
-                if rank + 1 < size {
-                    let right = ctx.recv(rank + 1, 0)?;
-                    for (a, b) in field.iter_mut().zip(&right) {
-                        *a = 0.5 * (*a + *b);
-                    }
-                }
-                ctx.barrier()?;
-                it += 1;
-            }
-            Ok(())
-        })
-        .map_err(|e| match e.into_compile_error() {
-            // A compiler error that surfaced inside a rank body keeps its
-            // coded diagnostics (annotated with the failing rank).
-            Ok(compile_err) => compile_err,
-            Err(other) => IrError::new(format!("resilient halo exchange failed: {other}")),
-        })?;
-        let mut merged = FaultStats::default();
-        for ((), s) in results {
-            merged.merge(&s);
-        }
-        // Charge the per-rank critical path: total recovery traffic spread
-        // over the group that generated it.
-        let overhead = self.cost.resilience_time(&merged, face) / sim_ranks as f64;
-        self.resilience.merge(&merged);
-        Ok(overhead)
-    }
-
     /// Modeled halo-communication seconds for one dispatch of `kernel`
     /// over `grid` (`offnode` = fraction of neighbour links crossing
-    /// nodes).
+    /// nodes). Only the wholly modeled multi-GPU target charges this.
     fn modeled_comm(&self, kernel: &CompiledKernel, grid: &ProcessGrid, offnode: f64) -> f64 {
         let mut comm = 0.0;
         for nest in &kernel.nests {
@@ -1299,12 +1134,8 @@ impl<'k> KernelDispatcher<'k> {
     }
 
     /// Fold one real distributed dispatch into the accumulated attestation.
-    fn record_distributed(&mut self, kernel: &CompiledKernel, outcome: &DistOutcome) {
-        let grid = self.grid.as_ref().expect("distributed target has a grid");
-        let modeled_comm = self.modeled_comm(kernel, grid, self.cost.offnode_fraction(grid));
-        let ranks = grid.size();
+    fn record_distributed(&mut self, outcome: &DistOutcome) {
         let d = &mut self.dist;
-        d.ranks = ranks;
         d.dispatches += 1;
         // A single blocking nest demotes the whole run's attested schedule.
         d.schedule = Some(match (d.schedule, outcome.schedule) {
@@ -1316,21 +1147,17 @@ impl<'k> KernelDispatcher<'k> {
         if d.per_rank_wall.len() != outcome.per_rank.len() {
             d.per_rank_wall = vec![0.0; outcome.per_rank.len()];
         }
-        let mut compute = 0.0;
         for (acc, r) in d.per_rank_wall.iter_mut().zip(&outcome.per_rank) {
             *acc += r.wall_seconds;
             d.pack_seconds += r.pack_seconds;
             d.interior_seconds += r.interior_seconds;
             d.wait_seconds += r.wait_seconds;
             d.boundary_seconds += r.boundary_seconds;
-            compute += r.interior_seconds + r.boundary_seconds;
         }
         d.bytes_exchanged += outcome.bytes_exchanged;
         d.messages += outcome.messages;
         d.measured_seconds += outcome.makespan_seconds;
-        d.modeled_seconds += compute / ranks.max(1) as f64 + modeled_comm;
         DistProvenance::fold(&mut d.provenance, DistProvenance::Measured);
-        d.scheduler = Some(outcome.scheduler);
         d.workers = d.workers.max(outcome.workers);
         d.steals += outcome.steals;
         d.parks += outcome.parks;
@@ -1374,12 +1201,6 @@ impl<'k> KernelDispatcher<'k> {
     }
 }
 
-fn num_cpus_max() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(8)
-}
-
 impl<'k> RegionDispatcher for KernelDispatcher<'k> {
     fn call(&mut self, callee: &str, args: &[Value], memory: &mut Memory) -> Result<()> {
         let kernel = self
@@ -1412,38 +1233,16 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
                         Some(outcome) => {
                             // Real distributed execution: every rank ran the
                             // kernel over its owned block with measured halo
-                            // traffic. The makespan is the measured
-                            // distributed time; the cost model rides along
-                            // as a cross-check inside the report.
+                            // traffic; the makespan is the distributed time.
                             self.resilience.merge(&outcome.fault_stats);
                             self.distributed_seconds += outcome.makespan_seconds;
-                            self.record_distributed(kernel, &outcome);
+                            self.record_distributed(&outcome);
                         }
                         None => {
-                            // Outside the supported shape: execute locally
-                            // and charge the modeled distributed iteration
-                            // (per-rank compute + halo communication), with
-                            // the resilient-transport micro-sim attesting
-                            // the protocol.
-                            kernel::run_kernel(
-                                kernel,
-                                memory,
-                                &kargs,
-                                self.threads,
-                                self.pool.as_ref(),
-                            )?;
-                            let elapsed = start.elapsed().as_secs_f64();
-                            let ranks = grid.size() as f64;
-                            let compute = elapsed * self.threads as f64 / ranks;
-                            let comm =
-                                self.modeled_comm(kernel, &grid, self.cost.offnode_fraction(&grid));
-                            self.distributed_seconds += compute + comm;
-                            self.distributed_seconds +=
-                                self.charge_resilient_exchange(kernel, dispatch)?;
-                            DistProvenance::fold(
-                                &mut self.dist.provenance,
-                                DistProvenance::Modeled,
-                            );
+                            // Outside the supported shape: run locally, like
+                            // `StencilCpu`, adding no seconds and no traffic.
+                            kernel::run_kernel(kernel, memory, &kargs, 1, None)?;
+                            DistProvenance::fold(&mut self.dist.provenance, DistProvenance::Local);
                             self.dist.modeled_dispatches += 1;
                         }
                     }
@@ -1522,10 +1321,7 @@ impl<'k> RegionDispatcher for KernelDispatcher<'k> {
                     // interconnect; NVLink/GPUDirect would lower this —
                     // exactly the tuning §6 proposes).
                     let grid = self.grid.clone().expect("distributed target has a grid");
-                    let dispatch = self.dispatch_index;
-                    self.dispatch_index += 1;
                     self.distributed_seconds += self.modeled_comm(kernel, &grid, 1.0);
-                    self.distributed_seconds += self.charge_resilient_exchange(kernel, dispatch)?;
                 }
             }
         }
@@ -1584,7 +1380,6 @@ mod tests {
             &src,
             &CompileOptions {
                 target: Target::FlangOnly,
-                verify_each_pass: false,
                 ..Default::default()
             },
         )
@@ -1615,7 +1410,6 @@ mod tests {
                 &src,
                 &CompileOptions {
                     target: target.clone(),
-                    verify_each_pass: false,
                     ..Default::default()
                 },
             )
@@ -1643,7 +1437,6 @@ mod tests {
             &src,
             &CompileOptions {
                 target: Target::StencilDistributed { grid: vec![3, 2] },
-                verify_each_pass: false,
                 ..Default::default()
             },
         )
@@ -1652,7 +1445,7 @@ mod tests {
     }
 
     #[test]
-    fn verify_each_pass_accepts_all_targets() {
+    fn strict_compile_accepts_all_targets() {
         let src = fsc_workloads::gauss_seidel::fortran_source(4, 1);
         for target in [
             Target::StencilCpu,
@@ -1665,10 +1458,11 @@ mod tests {
         ] {
             let opts = CompileOptions {
                 target,
-                verify_each_pass: true,
+                harden: false,
                 ..Default::default()
             };
-            Compiler::compile(&src, &opts).unwrap();
+            let c = Compiler::compile(&src, &opts).unwrap();
+            assert_eq!(c.degradation.ran, DegradationRung::Stencil);
         }
     }
 
@@ -1715,8 +1509,8 @@ mod tests {
             a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
             "faulty run must produce bit-identical results"
         );
-        // Recovery traffic is charged: the faulty run models more
-        // distributed seconds than the clean one.
+        // Recovery costs measured time: retransmits and the replayed phase
+        // make the faulty makespan longer than the clean one.
         assert!(
             faulty.report.distributed_seconds.unwrap() > clean.report.distributed_seconds.unwrap()
         );
@@ -1841,9 +1635,21 @@ mod tests {
             harden: false,
             ..CompileOptions::for_target(Target::StencilCpu)
         };
-        // Strict mode has no sabotage hook path — it compiles fine...
         assert!(Compiler::compile(&src, &opts).is_ok());
-        // ...and hardened mode with an unknown sabotage name never fires.
+        // Strict mode is a one-rung ladder: the sabotaged rung's coded
+        // post-pass verification failure is the compile error, with no
+        // fallback to the scf rung.
+        let sabotaged = CompileOptions {
+            sabotage_pass: Some("cse".into()),
+            ..opts
+        };
+        let err = match Compiler::compile(&src, &sabotaged) {
+            Err(e) => e,
+            Ok(_) => panic!("strict mode must not degrade past a sabotaged pass"),
+        };
+        assert!(err.message.contains("E0503"), "{err}");
+        assert!(err.message.contains("pass 'cse'"), "{err}");
+        // Hardened mode with an unknown sabotage name never fires.
         let opts = CompileOptions {
             sabotage_pass: Some("no-such-pass".into()),
             ..CompileOptions::for_target(Target::StencilCpu)
@@ -2084,7 +1890,6 @@ end program two_stores";
             src,
             &CompileOptions {
                 target: Target::FlangOnly,
-                verify_each_pass: false,
                 ..Default::default()
             },
         )

@@ -1,8 +1,6 @@
 //! Distributed executor: real rank bodies over the simulated MPI substrate.
 //!
-//! The legacy distributed path executed a kernel once on the calling thread
-//! and *charged* a cost-model estimate of the per-rank time. This module
-//! replaces that with genuine distributed execution: each view is
+//! Genuine distributed execution of a lowered `dmp` kernel: each view is
 //! partitioned over the [`ProcessGrid`] (honouring the kernel's
 //! `dmp_decomposition`), every rank runs the compiled kernel over its owned
 //! block, and halos move as real face pack → send → recv → unpack traffic.
@@ -16,16 +14,14 @@
 //! with the blocking variant (overlap pass disabled) receiving every face
 //! before computing the whole owned block.
 //!
-//! **Two substrates.** [`DistMode::Threads`] runs one OS thread per rank on
-//! the resilient transport ([`fsc_mpisim::resilient::run_resilient`]) and is
-//! capped at [`MAX_THREAD_RANKS`]. [`DistMode::Coop`] (the default) runs
-//! every rank as a resumable state-machine task on the work-stealing
-//! cooperative scheduler ([`fsc_mpisim::coop::run_tasks`]): thousands of
-//! virtual ranks multiplex over a fixed worker pool, parking on blocking
-//! receives instead of holding a thread, with optional node-level
-//! aggregation coalescing same-edge halo messages between rank groups into
-//! single envelopes. Both substrates execute the identical schedule and are
-//! bit-identical by construction (the differential proptests enforce it).
+//! **One substrate.** Every rank is a resumable state-machine task on the
+//! work-stealing cooperative scheduler ([`fsc_mpisim::coop::run_tasks`]):
+//! up to [`MAX_VIRTUAL_RANKS`] virtual ranks multiplex over a fixed worker
+//! pool, parking on blocking receives instead of holding a thread, with
+//! optional node-level aggregation coalescing same-edge halo messages
+//! between rank groups into single envelopes. The oracle is single-rank
+//! serial execution: results must match it bit for bit, with NaN sentinels
+//! poisoning any read that escapes a rank's owned-plus-halo region.
 //!
 //! **Memory model — globally addressed, locally windowed.** Every rank
 //! addresses each view with *global* column-major strides, so the compiled
@@ -54,9 +50,11 @@
 //!
 //! **Fallback contract.** [`run_distributed`] returns `Ok(None)` whenever
 //! the kernel shape is outside what the executor supports (no proved halo
-//! schedule, mismatched nest bounds, rank chunks thinner than the halo
-//! width, oversized grids). The dispatcher then falls back to the legacy
-//! modeled path — degradation, never a wrong answer.
+//! schedule, mismatched nest bounds, stores shifted off the loop index or
+//! loads reaching past the exchanged halo on a decomposed dimension, rank
+//! chunks thinner than the halo width, oversized grids). The dispatcher
+//! then runs the kernel locally on one core and reports the dispatch as
+//! `local` — degradation, never a wrong answer and never invented time.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -71,44 +69,17 @@ use crate::value::{BufId, Memory};
 use fsc_ir::{IrError, Result};
 use fsc_mpisim::coop::{run_tasks, CoopConfig, CoopCtx, CoopResilient, CoopTask, Step};
 use fsc_mpisim::fault::{FaultPlan, FaultStats};
-use fsc_mpisim::resilient::{run_resilient, ResilientConfig, ResilientCtx};
+use fsc_mpisim::resilient::ResilientConfig;
 use fsc_mpisim::{MpiSimError, ProcessGrid};
 
-/// Largest rank count the thread-per-rank substrate is asked to host.
-pub const MAX_THREAD_RANKS: i64 = 32;
-
 /// Largest rank count the cooperative scheduler is asked to host; larger
-/// grids fall back to the modeled path.
+/// grids run locally.
 pub const MAX_VIRTUAL_RANKS: i64 = 8192;
-
-/// Which substrate executes the rank bodies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DistMode {
-    /// One OS thread per rank (capped at [`MAX_THREAD_RANKS`]). Kept for
-    /// differential testing against the cooperative scheduler.
-    Threads,
-    /// Work-stealing cooperative scheduler: rank tasks multiplexed over a
-    /// fixed worker pool (up to [`MAX_VIRTUAL_RANKS`] ranks).
-    #[default]
-    Coop,
-}
-
-impl DistMode {
-    /// Stable lowercase name for attestation and stats surfaces.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DistMode::Threads => "threads",
-            DistMode::Coop => "coop",
-        }
-    }
-}
 
 /// Execution knobs for one distributed dispatch.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DistOptions {
-    /// Substrate selection (default: cooperative scheduler).
-    pub mode: DistMode,
-    /// Worker threads for [`DistMode::Coop`]; `0` = available parallelism.
+    /// Scheduler worker threads; `0` = available parallelism.
     pub workers: usize,
     /// Ranks per simulated node for hierarchical halo aggregation;
     /// `0` or `1` disables aggregation.
@@ -151,18 +122,16 @@ pub struct DistOutcome {
     pub bytes_exchanged: u64,
     /// Total halo messages across all ranks.
     pub messages: u64,
-    /// Substrate that executed the rank bodies.
-    pub scheduler: DistMode,
-    /// Worker threads used (== ranks under [`DistMode::Threads`]).
+    /// Scheduler worker threads used.
     pub workers: usize,
-    /// Rank tasks popped from another worker's deque (coop only).
+    /// Rank tasks popped from another worker's deque.
     pub steals: u64,
-    /// Times a rank task parked on a blocking operation (coop only).
+    /// Times a rank task parked on a blocking operation.
     pub parks: u64,
     /// User-level halo messages the transport carried.
     pub logical_messages: u64,
     /// Physical envelopes those became after node-level aggregation
-    /// (== `logical_messages` when aggregation is off or under threads).
+    /// (== `logical_messages` when aggregation is off).
     pub physical_messages: u64,
     /// Payload bytes of user-level halo messages.
     pub logical_bytes: u64,
@@ -339,21 +308,12 @@ struct DistSetup {
 
 impl DistSetup {
     /// Decide whether the kernel fits the real distributed executor.
-    /// `None` means "fall back to the modeled path".
-    fn build(
-        kernel: &CompiledKernel,
-        grid: &ProcessGrid,
-        args: &[KernelArg],
-        mode: DistMode,
-    ) -> Option<Self> {
+    /// `None` means "run locally".
+    fn build(kernel: &CompiledKernel, grid: &ProcessGrid, args: &[KernelArg]) -> Option<Self> {
         let glen = kernel.decomposition.len();
-        let max_ranks = match mode {
-            DistMode::Threads => MAX_THREAD_RANKS,
-            DistMode::Coop => MAX_VIRTUAL_RANKS,
-        };
         if glen == 0
             || kernel.decomposition != grid.shape
-            || grid.size() > max_ranks
+            || grid.size() > MAX_VIRTUAL_RANKS
             || kernel.nests.is_empty()
         {
             return None;
@@ -405,6 +365,9 @@ impl DistSetup {
                     return None;
                 }
             }
+            if !offsets_fit_halos(nest, from) {
+                return None;
+            }
             for &v in &nest.out_views {
                 let ViewSource::Arg(i) = kernel.views[v].source else {
                     return None;
@@ -448,6 +411,31 @@ impl DistSetup {
             schedule,
         })
     }
+}
+
+/// Whether a nest's accesses address the view at its loop indices on every
+/// decomposed dimension: stores at offset 0, and loads no farther from the
+/// loop index than the halo the nest exchanges on that side. Partitions,
+/// windows and face regions are all computed from loop bounds, so they
+/// are view coordinates only under this condition — lowering folds an
+/// array's lower bound into the access offsets (a `u(1:n)` array stores
+/// at offset -1), which shifts every rank's cells off its window.
+fn offsets_fit_halos(nest: &Nest, from: usize) -> bool {
+    (from..nest.bounds.len()).all(|d| {
+        let width = |dir: i64| {
+            nest.exchanges
+                .iter()
+                .filter(|e| e.dim == d && e.direction == dir)
+                .map(|e| e.width)
+                .max()
+                .unwrap_or(0)
+        };
+        let (store_lo, store_hi) = nest.store_offsets.get(d).copied().unwrap_or((0, 0));
+        let (load_lo, load_hi) = nest.load_offsets.get(d).copied().unwrap_or((0, 0));
+        // Faces sent towards the upper neighbour fill the receiver's lower
+        // halo, and vice versa.
+        store_lo == 0 && store_hi == 0 && -load_lo <= width(1) && load_hi <= width(-1)
+    })
 }
 
 /// The halo region one exchange moves, in *global* coordinates. Both sides
@@ -870,7 +858,7 @@ fn build_rank_mem(sh: &Shared, rank: usize, coords: &[i64], seed: bool) -> Resul
 }
 
 // --------------------------------------------------------------------------
-// Rank body building blocks (shared by both substrates)
+// Rank body building blocks
 // --------------------------------------------------------------------------
 
 /// What one rank hands back: its metrics plus the owned slab of every
@@ -986,9 +974,8 @@ fn refresh_snapshots(sh: &Shared, nest: &Nest, rm: &mut RankMem, rank: usize) ->
 }
 
 /// Post every halo send of `nest`: my face in `e.direction` to that
-/// neighbour, through the substrate-specific `send`. Tags repeat
-/// deterministically on both sides, so FIFO per (peer, tag) stream keeps
-/// multi-view exchanges paired.
+/// neighbour, through `send`. Tags repeat deterministically on both sides,
+/// so FIFO per (peer, tag) stream keeps multi-view exchanges paired.
 fn post_halo_sends(
     sh: &Shared,
     nest: &Nest,
@@ -1195,119 +1182,7 @@ fn restore_deep_windows(sh: &Shared, rm: &mut RankMem, rank: usize) -> Result2<(
 }
 
 // --------------------------------------------------------------------------
-// Thread-per-rank substrate
-// --------------------------------------------------------------------------
-
-fn rank_body(ctx: &mut ResilientCtx, sh: &Shared) -> Result2<RankOutput> {
-    let t_start = Instant::now();
-    let rank = ctx.rank();
-    let coords = sh.grid.coords(rank as i64);
-    let seed = sh.deep.as_ref().is_none_or(|d| d.cycle == 0);
-    let mut rm = build_rank_mem(sh, rank, &coords, seed)?;
-    if !seed {
-        restore_deep_windows(sh, &mut rm, rank)?;
-    }
-
-    let own = owned_box(&sh.bounds, &sh.kernel.decomposition, &coords, sh.from);
-    let mut metrics = RankMetrics::default();
-
-    // ---- phases: one per nest, plus a final commit barrier ----
-    let nphases = sh.kernel.nests.len() + 1;
-    let mut phase = 0usize;
-    while phase < nphases {
-        let state: Vec<Vec<f64>> = rm
-            .ck_bufs
-            .iter()
-            .map(|&b| rm.mem.buffer(b).to_vec())
-            .collect();
-        ctx.save_checkpoint(phase, &state);
-        if ctx.crash_pending(phase) {
-            let (restored, state) = ctx.crash_and_restore(phase)?;
-            phase = restored;
-            for (&b, data) in rm.ck_bufs.iter().zip(state) {
-                rm.mem.restore_buffer(b, data);
-            }
-            continue;
-        }
-        if phase == sh.kernel.nests.len() {
-            // Commit barrier: every rank's faces are consumed before gather.
-            ctx.barrier()?;
-            phase += 1;
-            continue;
-        }
-        let nest = &sh.kernel.nests[phase];
-        if nest.domain_cells() > 0 {
-            run_phase(ctx, sh, nest, &coords, &own, &mut rm, &mut metrics)?;
-        }
-        ctx.barrier()?;
-        phase += 1;
-    }
-
-    metrics.wall_seconds = t_start.elapsed().as_secs_f64();
-    Ok(gather_rank_output(sh, &rm, &coords, metrics))
-}
-
-/// One nest on one rank (thread substrate): refresh snapshots, send faces,
-/// compute under the nest's halo schedule, receive + unpack, finish the
-/// boundary.
-fn run_phase(
-    ctx: &mut ResilientCtx,
-    sh: &Shared,
-    nest: &Nest,
-    coords: &[i64],
-    own: &[(i64, i64)],
-    rm: &mut RankMem,
-    metrics: &mut RankMetrics,
-) -> Result2<()> {
-    let rank = ctx.rank();
-    refresh_snapshots(sh, nest, rm, rank)?;
-    let (exec_box, exchange) = phase_exec_box(sh, nest, coords, own);
-    let recvs = if exchange {
-        post_halo_sends(sh, nest, coords, rank, rm, metrics, |dst, tag, payload| {
-            ctx.send(dst, tag, payload)
-        });
-        build_halo_recvs(sh, nest, rank)
-    } else {
-        Vec::new()
-    };
-    let (shrink_lo, shrink_hi) = halo_shrinks(&recvs, exec_box.len());
-
-    let schedule = nest.halo_schedule.unwrap_or(HaloSchedule::Blocking);
-    let wait_and_unpack = |ctx: &mut ResilientCtx, rm: &mut RankMem, metrics: &mut RankMetrics| {
-        let t = Instant::now();
-        for r in &recvs {
-            let payload = ctx.recv(r.src, r.tag)?;
-            unpack_halo(sh, nest, rm, r, &payload);
-        }
-        metrics.wait_seconds += t.elapsed().as_secs_f64();
-        Ok::<(), MpiSimError>(())
-    };
-
-    match schedule {
-        HaloSchedule::Overlap => {
-            let (interior, shells) = split_interior_boundary(&exec_box, &shrink_lo, &shrink_hi);
-            let t = Instant::now();
-            run_rank_box(sh, nest, rm, rank, &interior)?;
-            metrics.interior_seconds += t.elapsed().as_secs_f64();
-            wait_and_unpack(ctx, rm, metrics)?;
-            let t = Instant::now();
-            for shell in &shells {
-                run_rank_box(sh, nest, rm, rank, shell)?;
-            }
-            metrics.boundary_seconds += t.elapsed().as_secs_f64();
-        }
-        HaloSchedule::Blocking => {
-            wait_and_unpack(ctx, rm, metrics)?;
-            let t = Instant::now();
-            run_rank_box(sh, nest, rm, rank, &exec_box)?;
-            metrics.boundary_seconds += t.elapsed().as_secs_f64();
-        }
-    }
-    Ok(())
-}
-
-// --------------------------------------------------------------------------
-// Cooperative-scheduler substrate
+// Rank tasks on the cooperative scheduler
 // --------------------------------------------------------------------------
 
 /// What a rank task does once its pending receives complete.
@@ -1318,7 +1193,7 @@ enum PostWait {
     Whole(Vec<(i64, i64)>),
 }
 
-/// Resumable control state of one rank task — the thread body's control
+/// Resumable control state of one rank task — the rank body's control
 /// flow flattened into the points where it can block.
 enum TaskState {
     /// Lazy scatter on first step (the factory runs serially).
@@ -1340,8 +1215,12 @@ enum TaskState {
     Poisoned,
 }
 
-/// One virtual rank as a cooperative task: the same schedule as
-/// [`rank_body`], resumable at every blocking receive and barrier.
+/// One virtual rank as a cooperative task, resumable at every blocking
+/// receive and barrier: scatter, then per nest refresh snapshots, send
+/// faces, compute under the nest's halo schedule, receive + unpack, finish
+/// the boundary and pass the phase barrier; gather after a final commit
+/// barrier. Every phase entry checkpoints the rank's buffers, so a planned
+/// crash restores and replays from there.
 struct DistTask {
     sh: Arc<Shared>,
     res: CoopResilient,
@@ -1545,13 +1424,13 @@ impl CoopTask for DistTask {
 // --------------------------------------------------------------------------
 
 /// Execute one distributed kernel dispatch for real: scatter the views over
-/// `grid`, run every rank on the selected substrate under `plan` (the crash
+/// `grid`, run every rank on the cooperative scheduler under `plan` (the crash
 /// spec, if any, is interpreted against this dispatch's phase counter),
 /// gather the owned slabs back into `memory`, and report measured per-rank
 /// timings plus scheduler/transport counters. `deep` threads the
 /// cross-dispatch deep-halo session (pass `&mut None` to disable). Returns
 /// `Ok(None)` when the kernel is outside the supported shape — the caller
-/// then runs the legacy modeled path.
+/// then runs it locally.
 pub fn run_distributed(
     kernel: &CompiledKernel,
     memory: &mut Memory,
@@ -1561,7 +1440,7 @@ pub fn run_distributed(
     opts: &DistOptions,
     deep: &mut Option<DeepHaloSession>,
 ) -> Result<Option<DistOutcome>> {
-    let Some(setup) = DistSetup::build(kernel, grid, args, opts.mode) else {
+    let Some(setup) = DistSetup::build(kernel, grid, args) else {
         return Ok(None);
     };
 
@@ -1623,27 +1502,15 @@ pub fn run_distributed(
         Ok(compile_err) => compile_err,
         Err(other) => IrError::new(format!("distributed execution failed: {other}")),
     };
-    let body_shared = Arc::clone(&shared);
-    let (results, workers, steals, parks, traffic) = match opts.mode {
-        DistMode::Threads => {
-            let results = run_resilient(size, plan, cfg, move |ctx| rank_body(ctx, &body_shared))
-                .map_err(map_err)?;
-            (results, size, 0u64, 0u64, None)
-        }
-        DistMode::Coop => {
-            let ccfg = CoopConfig {
-                workers: opts.workers,
-                node_size: opts.node_size,
-                agg_flush_messages: 0,
-            };
-            let plan = plan.clone();
-            let (outs, stats) = run_tasks(size, ccfg, move |rank| {
-                DistTask::new(rank, size, Arc::clone(&body_shared), &plan, cfg)
-            })
-            .map_err(map_err)?;
-            (outs, stats.workers, stats.steals, stats.parks, Some(stats))
-        }
+    let ccfg = CoopConfig {
+        workers: opts.workers,
+        node_size: opts.node_size,
+        agg_flush_messages: 0,
     };
+    let (results, traffic) = run_tasks(size, ccfg, |rank| {
+        DistTask::new(rank, size, Arc::clone(&shared), &plan, cfg)
+    })
+    .map_err(map_err)?;
 
     // Gather: every rank's owned slab lands back in the caller's buffers.
     let mut fault_stats = FaultStats::default();
@@ -1707,15 +1574,6 @@ pub fn run_distributed(
             .filter(|n| !n.exchanges.is_empty())
             .count() as u64
     };
-    let (logical_messages, physical_messages, logical_bytes, physical_bytes) = match &traffic {
-        Some(s) => (
-            s.logical_messages,
-            s.physical_envelopes,
-            s.logical_bytes,
-            s.physical_bytes,
-        ),
-        None => (messages, messages, bytes_exchanged, bytes_exchanged),
-    };
     Ok(Some(DistOutcome {
         per_rank,
         makespan_seconds,
@@ -1723,14 +1581,13 @@ pub fn run_distributed(
         schedule: setup.schedule,
         bytes_exchanged,
         messages,
-        scheduler: opts.mode,
-        workers,
-        steals,
-        parks,
-        logical_messages,
-        physical_messages,
-        logical_bytes,
-        physical_bytes,
+        workers: traffic.workers,
+        steals: traffic.steals,
+        parks: traffic.parks,
+        logical_messages: traffic.logical_messages,
+        physical_messages: traffic.physical_envelopes,
+        logical_bytes: traffic.logical_bytes,
+        physical_bytes: traffic.physical_bytes,
         halo_depth: kernel.halo_depth,
         exchange_rounds,
     }))

@@ -157,6 +157,13 @@ pub struct Nest {
     pub halo_schedule: Option<HaloSchedule>,
     /// Snapshot views to refresh (copy from source) before this nest.
     pub snapshots: Vec<usize>,
+    /// Per data dimension, the `(min, max)` constant offset `c` of every
+    /// load `view[.., iv + c, ..]` in the body, widened to include 0.
+    /// Lowering folds an array's lower bound into these offsets, so they
+    /// tell whether `bounds` (loop indices) are also view indices.
+    pub load_offsets: Vec<(i64, i64)>,
+    /// The same span over every store.
+    pub store_offsets: Vec<(i64, i64)>,
     /// How this nest is swept: cache-block tiles, unroll factor, slab
     /// budget and provenance. Defaults to an untiled plan (seeded from the
     /// IR's `"tiled"` attribute when the pipeline carried tile sizes);
@@ -618,6 +625,8 @@ fn compile_one_nest(
         program: BodyProgram::default(),
         dim_of_iv: HashMap::new(),
         out_views: Vec::new(),
+        load_offsets: Vec::new(),
+        store_offsets: Vec::new(),
     };
     // First pass: decode every access so ivs are bound to dimensions before
     // any `stencil.index`-as-data use needs the mapping.
@@ -640,6 +649,8 @@ fn compile_one_nest(
         mut program,
         dim_of_iv,
         out_views,
+        mut load_offsets,
+        mut store_offsets,
         ..
     } = compiler;
     program.num_regs = regs;
@@ -656,6 +667,8 @@ fn compile_one_nest(
         .ok_or_else(|| err("kernel touches no views"))?;
     let mut bounds = vec![(0i64, 0i64); rank];
     let mut assigned = vec![false; rank];
+    load_offsets.resize(rank, (0, 0));
+    store_offsets.resize(rank, (0, 0));
     // Default plan: tile sizes the pipeline recorded on the tiled loop
     // (the `"tiled"` attribute), mapped from loop order to array dims.
     let mut plan_tiles = vec![0i64; rank];
@@ -732,6 +745,8 @@ fn compile_one_nest(
         exchanges,
         halo_schedule,
         snapshots,
+        load_offsets,
+        store_offsets,
         plan,
     })
 }
@@ -844,6 +859,8 @@ struct BodyCompiler<'a> {
     program: BodyProgram,
     dim_of_iv: HashMap<ValueId, usize>,
     out_views: Vec<usize>,
+    load_offsets: Vec<(i64, i64)>,
+    store_offsets: Vec<(i64, i64)>,
 }
 
 impl<'a> BodyCompiler<'a> {
@@ -877,7 +894,8 @@ impl<'a> BodyCompiler<'a> {
     }
 
     /// Decode a memref access: `(view index, relative linear offset)` while
-    /// assigning ivs to dimensions.
+    /// assigning ivs to dimensions and widening the nest's per-dimension
+    /// load (`memref_pos == 0`) or store offset span.
     fn access_of(&mut self, op: OpId, memref_pos: usize) -> Result<(usize, i64)> {
         let m = self.module;
         let data = m.op(op);
@@ -898,6 +916,15 @@ impl<'a> BodyCompiler<'a> {
                     self.dim_of_iv.insert(iv, k);
                 }
             }
+            let spans = if memref_pos == 0 {
+                &mut self.load_offsets
+            } else {
+                &mut self.store_offsets
+            };
+            if spans.len() <= k {
+                spans.resize(k + 1, (0, 0));
+            }
+            spans[k] = (spans[k].0.min(c), spans[k].1.max(c));
             off += c * strides[k];
         }
         Ok((view, off))

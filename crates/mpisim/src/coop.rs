@@ -533,14 +533,19 @@ where
         logical_bytes: net.logical_bytes.load(Ordering::Relaxed),
         physical_bytes: net.physical_bytes.load(Ordering::Relaxed),
     };
-    let errors = net.errors.into_inner();
+    let errors = std::mem::take(&mut *net.errors.lock());
     if let Some(root) = errors.into_iter().min_by_key(|e| e.root_cause_priority()) {
         return Err(root);
     }
+    // Workers exit only once every task is done or the run is poisoned, so
+    // a task without a result was left parked: report it as a deadlock.
     let outs = results
         .into_iter()
-        .map(|m| m.into_inner().expect("all tasks completed"))
-        .collect();
+        .map(|m| m.into_inner())
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| MpiSimError::Deadlock {
+            blocked: net.blocked_ranks(),
+        })?;
     Ok((outs, stats))
 }
 
@@ -592,7 +597,16 @@ fn run_one<K: CoopTask>(
         ctl.status = Status::Running;
         ctl.wake_pending = false;
     }
-    let mut task = tasks[tid].lock().take().expect("queued task present");
+    let Some(mut task) = tasks[tid].lock().take() else {
+        // A queued task id whose task is missing is a scheduler fault:
+        // fail the run instead of unwinding the worker.
+        finish(net, tid);
+        net.poison(MpiSimError::RankPanicked {
+            rank: tid,
+            message: "scheduled with no task to run".into(),
+        });
+        return;
+    };
     let mut ctx = CoopCtx {
         net,
         wid,
@@ -1041,6 +1055,13 @@ impl CoopResilient {
             p.next_retry = now + backoff;
             due.push((p.dest, p.tag, p.data.clone()));
         }
+        // A retransmission is protocol liveness even when the network then
+        // loses it: with the backoff capped below the watchdog's grace, a
+        // streak of dropped retries must not read as a deadlock. The retry
+        // bound still ends a hopeless stream with `RetriesExhausted`.
+        if !due.is_empty() {
+            ctx.progress();
+        }
         for (dest, tag, data) in due {
             self.stats.retries += 1;
             self.transmit(ctx, dest, tag, data, true);
@@ -1135,18 +1156,21 @@ impl CoopResilient {
         if self.size == 1 {
             return Ok(true);
         }
-        if self.barrier.is_none() {
-            let epoch = self.barrier_epoch;
-            self.barrier_epoch += 1;
-            let phase = if self.rank == 0 {
-                BarrierPhase::Gather { next: 1 }
-            } else {
-                self.send_tagged(ctx, 0, BARRIER_TAG, vec![epoch as f64]);
-                BarrierPhase::AwaitRelease
-            };
-            self.barrier = Some((epoch, phase));
-        }
-        let (epoch, phase) = self.barrier.clone().expect("barrier in progress");
+        let (epoch, phase) = match self.barrier.clone() {
+            Some(in_progress) => in_progress,
+            None => {
+                let epoch = self.barrier_epoch;
+                self.barrier_epoch += 1;
+                let phase = if self.rank == 0 {
+                    BarrierPhase::Gather { next: 1 }
+                } else {
+                    self.send_tagged(ctx, 0, BARRIER_TAG, vec![epoch as f64]);
+                    BarrierPhase::AwaitRelease
+                };
+                self.barrier = Some((epoch, phase.clone()));
+                (epoch, phase)
+            }
+        };
         match phase {
             BarrierPhase::Gather { mut next } => {
                 while next < self.size {
@@ -1563,6 +1587,21 @@ mod tests {
         assert_eq!(stats.injected_crashes, 1);
         assert_eq!(stats.restores, 1);
         assert!(stats.checkpoints > 0);
+    }
+
+    #[test]
+    fn dropped_retransmit_streaks_are_not_a_deadlock() {
+        // At 20% loss, a message and its first retransmissions are
+        // sometimes all dropped: the backoff then spans the stall
+        // watchdog's grace with nothing delivered anywhere. Pending retries
+        // are liveness, so every run must finish with the fault-free
+        // result rather than fail as a deadlock.
+        let clean = pong_values(2, FaultPlan::none(0), 20).0;
+        for seed in 0..8 {
+            let (lossy, stats) = pong_values(2, FaultPlan::lossy(seed, 0.2), 20);
+            assert_eq!(clean, lossy, "seed {seed}");
+            assert!(stats.retries > 0, "seed {seed}: drops must force retries");
+        }
     }
 
     #[test]

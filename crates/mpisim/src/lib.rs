@@ -11,13 +11,22 @@
 //!   bandwidth for halo exchanges, with the per-node NIC shared by the 128
 //!   ranks of a node. Figure 6's scaling curves come from real per-rank
 //!   compute on scaled-down grids plus this model's communication time.
-
 //! * [`fault`] / [`resilient`] — a **fault-injection and recovery layer**:
 //!   deterministic seeded fault plans (drop / duplicate / corrupt / delay /
 //!   reorder / rank crash) and a self-healing protocol (sequenced + acked
 //!   envelopes, bounded retry, checkpoint/restore-and-replay) with every
 //!   blocking wait deadline-protected and deadlock surfaced as a
 //!   structured [`MpiSimError`].
+//! * [`coop`] — the **work-stealing cooperative scheduler** that hosts
+//!   thousands of virtual ranks as resumable tasks over a fixed worker
+//!   pool; the distributed executor's only rank substrate.
+
+// Rank failures must surface as structured `MpiSimError`s, never as a
+// panic inside the substrate. Keep the lint pressure on in non-test code.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod coop;
 mod error;

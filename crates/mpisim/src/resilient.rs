@@ -595,7 +595,9 @@ impl<'a> ResilientCtx<'a> {
 /// Run `size` ranks under the resilient protocol with fault plan `plan`,
 /// collecting each rank's result and fault counters. A rank body returns
 /// `Result`; any failure is propagated with the communicator poisoned so
-/// the group exits promptly.
+/// the group exits promptly (a failed body unwinds into the thread
+/// runtime's structured error channel, which `run_ranks_cfg` returns).
+#[allow(clippy::panic)]
 pub fn run_resilient<T, F>(
     size: usize,
     plan: FaultPlan,

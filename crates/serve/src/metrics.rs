@@ -139,9 +139,6 @@ pub struct ServerMetrics {
     pub mem_squeezes: AtomicU64,
     /// Runs that dispatched rank bodies on a distributed target.
     pub dist_runs: AtomicU64,
-    /// Rank scheduler of the most recent distributed run (gauge:
-    /// 0 = none yet, 1 = thread-per-rank, 2 = work-stealing coop).
-    pub dist_scheduler: AtomicU64,
     /// Work-stealing events across all distributed runs.
     pub dist_steals: AtomicU64,
     /// Task parks (blocking halo recvs) across all distributed runs.

@@ -1100,14 +1100,6 @@ fn process_job(
             .fetch_add(d.physical_messages, Ordering::Relaxed);
         m.dist_halo_depth
             .fetch_max(u64::from(d.halo_depth), Ordering::Relaxed);
-        let scheduler = match d.scheduler {
-            Some(fsc_core::DistMode::Threads) => 1,
-            Some(fsc_core::DistMode::Coop) => 2,
-            None => 0,
-        };
-        if scheduler > 0 {
-            m.dist_scheduler.store(scheduler, Ordering::Relaxed);
-        }
     }
     b = b
         .num("run_ms", t0.elapsed().as_secs_f64() * 1000.0)
@@ -1392,14 +1384,6 @@ fn stats_snapshot(inner: &Arc<ServerInner>) -> Json {
     let physical = m.dist_physical_messages.load(Ordering::Relaxed);
     b = b
         .num("dist_runs", m.dist_runs.load(Ordering::Relaxed) as f64)
-        .str(
-            "dist_scheduler",
-            match m.dist_scheduler.load(Ordering::Relaxed) {
-                1 => "threads",
-                2 => "coop",
-                _ => "none",
-            },
-        )
         .num("dist_steals", m.dist_steals.load(Ordering::Relaxed) as f64)
         .num("dist_parks", m.dist_parks.load(Ordering::Relaxed) as f64)
         .num(

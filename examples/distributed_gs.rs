@@ -22,12 +22,11 @@ fn main() {
     let source = gauss_seidel::fortran_source(n, iters);
     let opts = CompileOptions {
         target: Target::StencilDistributed { grid: vec![2, 2] },
-        verify_each_pass: false,
         ..Default::default()
     };
     let exec = Compiler::run(&source, &opts).expect("run");
     println!(
-        "auto-parallelised over {} ranks: modeled {:.5}s/run",
+        "auto-parallelised over {} ranks: measured {:.5}s/run",
         exec.report.ranks.unwrap(),
         exec.report.distributed_seconds.unwrap()
     );

@@ -78,7 +78,6 @@ fn main() {
     let source = flang_stencil::workloads::gauss_seidel::fortran_source(12, 2);
     let opts = CompileOptions {
         target: Target::StencilDistributed { grid: vec![2, 2] },
-        verify_each_pass: false,
         ..Default::default()
     };
     let compiled = Compiler::compile(&source, &opts).expect("compile");
@@ -88,7 +87,7 @@ fn main() {
     let res = exec.report.resilience.expect("resilience report");
     println!(
         "\nDMP auto path (12³, 2 iters, faults injected): {} injected, {} retries, {} restores — \
-         modeled {:.6}s/run",
+         measured {:.6}s/run",
         res.injected(),
         res.retries,
         res.restores,

@@ -146,7 +146,6 @@ fn main() {
         &source,
         &CompileOptions {
             target,
-            verify_each_pass: false,
             autotune: tune,
             force_exec_path,
             ..Default::default()
@@ -219,7 +218,7 @@ fn main() {
         match &exec.report.distributed {
             Some(att) if att.dispatches > 0 => eprintln!(
                 "distributed measured: {d:.6}s over {} ranks ({} halos, \
-                 overlap fraction {:.3}, {} halo bytes, model/measured {:.3})",
+                 overlap fraction {:.3}, {} halo bytes, {} local dispatches)",
                 att.ranks,
                 match att.schedule {
                     Some(flang_stencil::exec::HaloSchedule::Overlap) => "overlapped",
@@ -228,7 +227,12 @@ fn main() {
                 },
                 att.overlap_fraction(),
                 att.bytes_exchanged,
-                att.model_ratio()
+                att.modeled_dispatches
+            ),
+            Some(att) if att.modeled_dispatches > 0 => eprintln!(
+                "distributed local: {} dispatches ran on one core (shape unsupported \
+                 on {} ranks)",
+                att.modeled_dispatches, att.ranks
             ),
             _ => eprintln!(
                 "distributed model: {d:.6}s over {} ranks",

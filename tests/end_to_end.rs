@@ -12,7 +12,6 @@ fn run_gs(n: usize, iters: usize, target: Target) -> flang_stencil::core::Execut
         &source,
         &CompileOptions {
             target,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -25,7 +24,6 @@ fn run_pw(n: usize, target: Target) -> flang_stencil::core::Execution {
         &source,
         &CompileOptions {
             target,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -148,7 +146,6 @@ fn pw_fusion_produces_single_region_with_three_outputs() {
         &source,
         &CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -182,7 +179,6 @@ fn flop_accounting_pins_paper_counts_and_specialized_path() {
         &source,
         &CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -209,7 +205,6 @@ fn flop_accounting_pins_paper_counts_and_specialized_path() {
         &source,
         &CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -262,7 +257,6 @@ fn empty_interior_is_skipped_on_all_cpu_paths() {
         &source,
         &CompileOptions {
             target: Target::FlangOnly,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -275,7 +269,6 @@ fn empty_interior_is_skipped_on_all_cpu_paths() {
             &source,
             &CompileOptions {
                 target,
-                verify_each_pass: false,
                 ..Default::default()
             },
         )
@@ -363,7 +356,6 @@ end program quad
         source,
         &CompileOptions {
             target: Target::FlangOnly,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -398,7 +390,6 @@ end program quad
             source,
             &CompileOptions {
                 target,
-                verify_each_pass: false,
                 ..Default::default()
             },
         )
@@ -546,7 +537,7 @@ fn distributed_bit_identical_to_serial_across_grids_and_tiers() {
 }
 
 #[test]
-fn distributed_report_attests_measured_time_and_model_cross_check() {
+fn distributed_report_attests_measured_time() {
     let exec = run_gs(8, 3, Target::StencilDistributed { grid: vec![2, 2] });
     let d = exec.report.distributed.clone().expect("distributed report");
     assert_eq!(d.ranks, 4);
@@ -558,12 +549,7 @@ fn distributed_report_attests_measured_time_and_model_cross_check() {
         d.measured_seconds > 0.0,
         "makespan is measured, not modeled"
     );
-    assert!(
-        d.modeled_seconds > 0.0,
-        "the cost model rides along as a cross-check"
-    );
-    assert!(d.model_ratio() > 0.0);
-    // `distributed_seconds` is now the *measured* makespan accumulation.
+    // `distributed_seconds` is the *measured* makespan accumulation.
     let total = exec.report.distributed_seconds.unwrap();
     assert!(
         (total - d.measured_seconds).abs() < 1e-12,
@@ -666,12 +652,11 @@ fn distributed_composes_with_forced_plans() {
 
 #[test]
 fn measured_execution_engages_at_a_thousand_ranks() {
-    use flang_stencil::core::{DistMode, DistProvenance};
+    use flang_stencil::core::DistProvenance;
     // Regression guard for the scaling tentpole: at >= 1024 virtual ranks
     // the cooperative scheduler must still *execute* every rank body
-    // (provenance `measured`), never silently fall back to the analytic
-    // cost model — and the result stays bit-identical to single-rank
-    // serial.
+    // (provenance `measured`), never silently fall back to a local run —
+    // and the result stays bit-identical to single-rank serial.
     let source = gauss_seidel::fortran_source(16, 2);
     let serial = Compiler::run(&source, &CompileOptions::for_target(Target::StencilCpu)).unwrap();
     let opts = CompileOptions::for_target(Target::StencilDistributed {
@@ -689,13 +674,12 @@ fn measured_execution_engages_at_a_thousand_ranks() {
     assert_eq!(
         d.provenance,
         Some(DistProvenance::Measured),
-        "1024 ranks must run measured, not modeled: {d:?}"
+        "1024 ranks must run measured, not locally: {d:?}"
     );
     assert_eq!(
         d.modeled_dispatches, 0,
-        "no dispatch may fall back to the model"
+        "no dispatch may fall back to a local run"
     );
-    assert_eq!(d.scheduler, Some(DistMode::Coop));
     assert!(d.workers > 0, "worker pool size must be attested");
     let got = exec.array("u").unwrap();
     let want = serial.array("u").unwrap();
@@ -792,11 +776,11 @@ fn hierarchical_aggregation_coalesces_cross_node_halos() {
 
 #[test]
 fn steal_heavy_schedule_matches_serial_bit_for_bit() {
-    use flang_stencil::core::{DistMode, DistProvenance};
+    use flang_stencil::core::DistProvenance;
     // 512 virtual ranks multiplexed over just two workers: every rank body
     // parks on its halo recvs, wake bursts pile onto one deque and the
     // other worker must steal to make progress. The schedule is thereby
-    // maximally unlike thread-per-rank — and the numbers must not care.
+    // maximally unlike single-rank serial — and the numbers must not care.
     let source = gauss_seidel::fortran_source(8, 2);
     let serial = Compiler::run(&source, &CompileOptions::for_target(Target::StencilCpu)).unwrap();
     let opts = CompileOptions::for_target(Target::StencilDistributed {
@@ -812,7 +796,6 @@ fn steal_heavy_schedule_matches_serial_bit_for_bit() {
         .expect("distributed report");
     assert_eq!(d.ranks, 512);
     assert_eq!(d.provenance, Some(DistProvenance::Measured));
-    assert_eq!(d.scheduler, Some(DistMode::Coop));
     assert_eq!(d.workers, 2);
     assert!(
         d.steals > 0,
@@ -827,4 +810,133 @@ fn steal_heavy_schedule_matches_serial_bit_for_bit() {
             .all(|(x, y)| x.to_bits() == y.to_bits()),
         "steal-heavy schedule not bit-identical to serial"
     );
+}
+
+/// A Gauss–Seidel-style program: two sweeps of `stencil` (the right-hand
+/// side of `un(i, j, k) = ...`) each followed by a copy-back, over arrays
+/// declared with `extent` per dimension, initialised over `init` and swept
+/// over `interior` (inclusive Fortran ranges).
+fn two_sweep_source(
+    extent: &str,
+    init: (&str, &str),
+    interior: (&str, &str),
+    stencil: &str,
+) -> String {
+    let (a, b) = init;
+    let (lo, hi) = interior;
+    format!(
+        "program sweeps
+  implicit none
+  integer, parameter :: n = 8
+  integer :: i, j, k, t
+  real(kind=8) :: u({extent}, {extent}, {extent}), un({extent}, {extent}, {extent})
+  do k = {a}, {b}
+    do j = {a}, {b}
+      do i = {a}, {b}
+        u(i, j, k) = 0.01 * i * i + 0.02 * j + 0.003 * k * k
+      end do
+    end do
+  end do
+  do t = 1, 2
+    do k = {lo}, {hi}
+      do j = {lo}, {hi}
+        do i = {lo}, {hi}
+          un(i, j, k) = {stencil}
+        end do
+      end do
+    end do
+    do k = {lo}, {hi}
+      do j = {lo}, {hi}
+        do i = {lo}, {hi}
+          u(i, j, k) = un(i, j, k)
+        end do
+      end do
+    end do
+  end do
+end program sweeps
+"
+    )
+}
+
+/// Run `source` distributed over `grid` and assert it is bit-identical to
+/// the Flang-only interpretation of the same program.
+fn distributed_matches_flang(
+    source: &str,
+    grid: &[i64],
+    tag: &str,
+) -> flang_stencil::core::Execution {
+    let flang = Compiler::run(source, &CompileOptions::for_target(Target::FlangOnly)).unwrap();
+    let exec = Compiler::run(
+        source,
+        &CompileOptions::for_target(Target::StencilDistributed {
+            grid: grid.to_vec(),
+        }),
+    )
+    .unwrap_or_else(|e| panic!("{tag}: distributed run failed: {e}"));
+    for a in ["u", "un"] {
+        let want = flang.array(a).unwrap();
+        let got = exec.array(a).unwrap();
+        assert_eq!(want.len(), got.len(), "{tag}: {a} length");
+        assert!(
+            want.iter()
+                .zip(got.iter())
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "{tag}: {a} not bit-identical to flang-only"
+        );
+    }
+    exec
+}
+
+#[test]
+fn distributed_runs_honour_array_lower_bounds() {
+    use flang_stencil::core::DistProvenance;
+    // Lowering folds an array's lower bound into the access offsets, so
+    // only a `0:n+1` array indexed over `1..n` has loop indices equal to
+    // view indices. The other forms must run locally (not crash inside a
+    // rank, not compute the wrong cells) until shifted arrays are
+    // partitioned in view coordinates.
+    let star = "(u(i-1, j, k) + u(i+1, j, k) + u(i, j, k-1) + u(i, j, k+1)) / 4.0";
+    let forms = [
+        ("n+2", ("1", "n+2"), ("2", "n+1"), DistProvenance::Local),
+        ("-1:n+2", ("-1", "n+2"), ("1", "n"), DistProvenance::Local),
+        ("0:n+1", ("0", "n+1"), ("1", "n"), DistProvenance::Measured),
+    ];
+    for (extent, init, interior, provenance) in forms {
+        let source = two_sweep_source(extent, init, interior, star);
+        for grid in [&[2i64][..], &[2, 2]] {
+            let tag = format!("u({extent}) grid={grid:?}");
+            let exec = distributed_matches_flang(&source, grid, &tag);
+            let d = exec
+                .report
+                .distributed
+                .as_ref()
+                .expect("distributed report");
+            assert_eq!(d.provenance, Some(provenance), "{tag}: {d:?}");
+        }
+    }
+}
+
+#[test]
+fn unsupported_shapes_run_locally_without_invented_time() {
+    use flang_stencil::core::DistProvenance;
+    // A corner read across both decomposed dimensions has no star-shaped
+    // halo proof, so face messages cannot carry its dependencies: both
+    // sweeps run locally on one core, adding no seconds and no traffic.
+    let corner = "(u(i, j-1, k-1) + u(i, j+1, k+1) + u(i, j, k-1) + u(i, j, k+1)) / 4.0";
+    let source = two_sweep_source("0:n+1", ("0", "n+1"), ("1", "n"), corner);
+    let exec = distributed_matches_flang(&source, &[2, 2], "corner stencil");
+    let d = exec
+        .report
+        .distributed
+        .as_ref()
+        .expect("distributed report");
+    assert_eq!(d.provenance, Some(DistProvenance::Local), "{d:?}");
+    assert_eq!(d.modeled_dispatches, 2, "{d:?}");
+    assert_eq!(d.dispatches, 0, "{d:?}");
+    assert_eq!(exec.report.distributed_seconds, Some(0.0));
+    let res = exec
+        .report
+        .resilience
+        .expect("distributed runs attest resilience");
+    assert_eq!(res.data_msgs, 0, "local runs exchange nothing: {res:?}");
 }

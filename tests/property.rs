@@ -4,7 +4,7 @@
 //! the optimised stencil kernels — three independently written execution
 //! paths over the same semantics.
 
-use flang_stencil::core::{CompileOptions, Compiler, DistMode, Target};
+use flang_stencil::core::{CompileOptions, Compiler, Target};
 use flang_stencil::mpisim::fault::FaultPlan;
 use flang_stencil::workloads::{gauss_seidel, pw_advection};
 use proptest::prelude::*;
@@ -70,7 +70,6 @@ fn run(source: &str, target: Target) -> Vec<f64> {
         source,
         &CompileOptions {
             target,
-            verify_each_pass: false,
             ..Default::default()
         },
     )
@@ -277,7 +276,7 @@ proptest! {
     ) {
         use flang_stencil::exec::ExecPath;
         let source = program_2d(&terms, n);
-        let opts = CompileOptions { target: Target::StencilCpu, verify_each_pass: false, ..Default::default() };
+        let opts = CompileOptions { target: Target::StencilCpu, ..Default::default() };
         let mut compiled = Compiler::compile(&source, &opts).unwrap();
         let has_spec = compiled
             .kernels
@@ -318,7 +317,6 @@ proptest! {
         let source = program_2d(&terms, n);
         let opts = CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         };
         let mut compiled = Compiler::compile(&source, &opts).unwrap();
@@ -400,7 +398,7 @@ proptest! {
         let source = program(&terms, n);
         let compiled = Compiler::compile(
             &source,
-            &CompileOptions { target: Target::StencilCpu, verify_each_pass: false, ..Default::default() },
+            &CompileOptions { target: Target::StencilCpu, ..Default::default() },
         ).unwrap();
         // Both the init nest and the stencil nest must have been extracted.
         let total_nests: usize = compiled.kernels.values().map(|k| k.nests.len()).sum();
@@ -432,7 +430,6 @@ proptest! {
         let source = program(&terms, n);
         let opts = CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         };
         let mut compiled = Compiler::compile(&source, &opts).unwrap();
@@ -470,7 +467,6 @@ proptest! {
         let source = program_2d(&terms, n);
         let opts = CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         };
         let mut compiled = Compiler::compile(&source, &opts).unwrap();
@@ -509,7 +505,6 @@ proptest! {
         let source = program_3d(&terms, n);
         let opts = CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         };
         let mut compiled = Compiler::compile(&source, &opts).unwrap();
@@ -549,7 +544,6 @@ proptest! {
         let source = gauss_seidel::fortran_source(n, iters);
         let opts = CompileOptions {
             target: Target::StencilCpu,
-            verify_each_pass: false,
             ..Default::default()
         };
         let mut compiled = Compiler::compile(&source, &opts).unwrap();
@@ -574,15 +568,15 @@ proptest! {
     // workloads, all grid shapes and several worker counts across runs.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The two distributed substrates — thread-per-rank and the
-    /// work-stealing cooperative scheduler — must be **bit**-identical on
-    /// both paper workloads, across 1-D/2-D/3-D process grids, under an
-    /// adversarial fault plan (drops + duplicates + corruption + delays +
-    /// a rank crash) and arbitrary worker counts. The resilient transport
-    /// masks every fault, so results cannot depend on which substrate
-    /// multiplexed the rank bodies or which faults fired.
+    /// The cooperative scheduler must be **bit**-identical to a fault-free
+    /// single-rank `StencilCpu` run on both paper workloads, across
+    /// 1-D/2-D/3-D process grids, under an adversarial fault plan (drops +
+    /// duplicates + corruption + delays + a rank crash) and arbitrary
+    /// worker counts. The resilient transport masks every fault, so results
+    /// cannot depend on how the rank bodies were multiplexed or which
+    /// faults fired.
     #[test]
-    fn coop_and_thread_substrates_bit_identical_under_faults(
+    fn coop_substrate_bit_identical_to_serial_under_faults(
         grid_idx in 0usize..4,
         use_gs in any::<bool>(),
         seed in any::<u64>(),
@@ -604,41 +598,28 @@ proptest! {
             ..FaultPlan::none(seed)
         }
         .with_crash(1, 1);
-        let mut runs: Vec<Vec<Vec<f64>>> = Vec::new();
-        for mode in [DistMode::Threads, DistMode::Coop] {
-            let opts = CompileOptions::for_target(Target::StencilDistributed {
-                grid: grid.clone(),
-            });
-            let mut compiled = Compiler::compile(&source, &opts).unwrap();
-            compiled.dist_options.mode = mode;
-            compiled.dist_options.workers = workers;
-            let exec = compiled.run_with_faults(plan.clone()).expect("faulted run");
-            let d = exec.report.distributed.as_ref().expect("distributed report");
+        let serial = Compiler::run(&source, &CompileOptions::for_target(Target::StencilCpu))
+            .expect("serial run");
+        let opts = CompileOptions::for_target(Target::StencilDistributed {
+            grid: grid.clone(),
+        });
+        let mut compiled = Compiler::compile(&source, &opts).unwrap();
+        compiled.dist_options.workers = workers;
+        let exec = compiled.run_with_faults(plan).expect("faulted run");
+        let d = exec.report.distributed.as_ref().expect("distributed report");
+        prop_assert!(
+            d.dispatches > 0,
+            "grid={:?}: rank bodies must actually run", grid
+        );
+        for name in &arrays {
+            let want = serial.array(name).expect("array");
+            let got = exec.array(name).expect("array");
+            prop_assert_eq!(want.len(), got.len());
             prop_assert!(
-                d.dispatches > 0,
-                "{mode:?} grid={grid:?}: rank bodies must actually run"
-            );
-            prop_assert_eq!(
-                d.scheduler, Some(mode),
-                "report must attest the substrate that ran"
-            );
-            runs.push(
-                arrays
-                    .iter()
-                    .map(|a| exec.array(a).expect("array").to_vec())
-                    .collect(),
-            );
-        }
-        for (name, (threaded, coop)) in
-            arrays.iter().zip(runs[0].iter().zip(runs[1].iter()))
-        {
-            prop_assert_eq!(threaded.len(), coop.len());
-            prop_assert!(
-                threaded
-                    .iter()
-                    .zip(coop.iter())
+                want.iter()
+                    .zip(got.iter())
                     .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "{} grid={:?} workers={}: coop diverged from thread-per-rank",
+                "{} grid={:?} workers={}: coop diverged from serial",
                 name, grid, workers
             );
         }
